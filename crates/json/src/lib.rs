@@ -15,8 +15,13 @@
 //! * strings escape `"`, `\\` and control characters; non-ASCII text
 //!   (e.g. module names) passes through as UTF-8, and the parser also
 //!   accepts `\uXXXX` escapes including surrogate pairs.
+//!
+//! Types that serialize often can write their encoder once against the
+//! streaming [`JsonSink`] ([`JsonEncode`]). The same encoder then yields
+//! the [`Json`] tree ([`JsonTree`]) or just the exact byte length of its
+//! compact text ([`JsonLen`]), which costs neither the tree nor the text.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Schema version stamped into every artifact this workspace emits.
 /// Bump when a field is renamed, removed, or changes meaning; consumers
@@ -174,9 +179,12 @@ impl Json {
     ) -> Result<(), JsonError> {
         match self {
             Json::Null => out.push_str("null"),
-            Json::Bool(true) => out.push_str("true"),
-            Json::Bool(false) => out.push_str("false"),
-            Json::Int(n) => out.push_str(&n.to_string()),
+            Json::Bool(b) => out.push_str(bool_text(*b)),
+            // Numbers format straight into `out`; `fmt::Write` for `String`
+            // cannot fail.
+            Json::Int(n) => {
+                let _ = write!(out, "{n}");
+            }
             Json::Float(x) => {
                 if !x.is_finite() {
                     return Err(JsonError::new(format!("non-finite float {x} in document")));
@@ -184,7 +192,7 @@ impl Json {
                 // `{:?}` is Rust's shortest representation that parses back
                 // to the same bits; it always includes `.0` or an exponent,
                 // so the parser re-reads it as a float, never an int.
-                out.push_str(&format!("{x:?}"));
+                let _ = write!(out, "{x:?}");
             }
             Json::Str(s) => write_string(out, s),
             Json::Array(items) => {
@@ -243,26 +251,66 @@ impl Json {
 fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
     if let Some(w) = indent {
         out.push('\n');
-        out.push_str(&" ".repeat(w * depth));
+        out.extend(std::iter::repeat_n(' ', w * depth));
     }
 }
 
-fn write_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+fn bool_text(b: bool) -> &'static str {
+    if b {
+        "true"
+    } else {
+        "false"
+    }
+}
+
+/// Where escaped string text goes: the emitter's `String`, or the byte
+/// count of [`JsonLen`]. Both share [`write_string`], so the length sink
+/// cannot disagree with the emitter about escaping.
+trait TextOut {
+    fn put(&mut self, s: &str);
+}
+
+impl TextOut for String {
+    fn put(&mut self, s: &str) {
+        self.push_str(s);
+    }
+}
+
+impl TextOut for u64 {
+    fn put(&mut self, s: &str) {
+        *self += s.len() as u64;
+    }
+}
+
+fn write_string(out: &mut impl TextOut, s: &str) {
+    const HEX: &str = "0123456789abcdef";
+    out.put("\"");
+    // Copy runs of bytes that need no escape in one go. Every escaped
+    // character is ASCII, so each run ends on a char boundary.
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.put(&s[run..i]);
+        run = i + 1;
+        match b {
+            b'"' => out.put("\\\""),
+            b'\\' => out.put("\\\\"),
+            b'\n' => out.put("\\n"),
+            b'\r' => out.put("\\r"),
+            b'\t' => out.put("\\t"),
+            _ => {
+                // Other control characters: `\u00XX`, lowercase hex.
+                let (hi, lo) = (usize::from(b >> 4), usize::from(b & 0xf));
+                out.put("\\u00");
+                out.put(&HEX[hi..=hi]);
+                out.put(&HEX[lo..=lo]);
             }
-            c => out.push(c),
         }
     }
-    out.push('"');
+    out.put(&s[run..]);
+    out.put("\"");
 }
 
 /// Nesting cap: artifacts are shallow; this only guards the recursive
@@ -560,11 +608,241 @@ impl ObjBuilder {
 }
 
 /// Lossless unsigned encoding: integer when it fits `i64`, decimal string
-/// beyond (see [`ObjBuilder::uint`] for why).
+/// beyond (see [`ObjBuilder::uint`] for why, and [`JsonSink::uint`] for the
+/// rule itself).
 pub fn uint_json(value: u64) -> Json {
-    match i64::try_from(value) {
-        Ok(i) => Json::Int(i),
-        Err(_) => Json::Str(value.to_string()),
+    let mut t = JsonTree::new();
+    t.uint(value);
+    t.finish()
+}
+
+/// A streaming consumer of one JSON document.
+///
+/// A type's encoder is written once against this trait (see
+/// [`JsonEncode`]) and then run into either sink: [`JsonTree`] assembles
+/// the [`Json`] value, [`JsonLen`] counts the bytes [`Json::emit`] would
+/// produce for it. Both come from the same calls, so a value's tree and its
+/// size cannot drift apart. Calls must nest properly and every object
+/// member is a [`key`](JsonSink::key) followed by one value; an encoder
+/// that breaks this is a bug, and the sinks may panic on it.
+pub trait JsonSink {
+    fn begin_object(&mut self);
+    fn end_object(&mut self);
+    fn begin_array(&mut self);
+    fn end_array(&mut self);
+    /// Names the next object member. Returns the sink so a member reads
+    /// as one chain: `s.key("n").uint(3)`.
+    fn key(&mut self, key: &str) -> &mut Self;
+    fn int(&mut self, n: i64);
+    fn str(&mut self, s: &str);
+    fn bool(&mut self, b: bool);
+
+    /// Lossless unsigned value: a plain integer when it fits `i64` (every
+    /// counter in practice, so artifact bytes stay unchanged), a decimal
+    /// string beyond, which [`Json::as_u64`] reads back exactly. A bare
+    /// literal that large would be read as a lossy float.
+    fn uint(&mut self, n: u64) {
+        match i64::try_from(n) {
+            Ok(i) => self.int(i),
+            Err(_) => self.str(&n.to_string()),
+        }
+    }
+}
+
+/// A value with a single streaming encoder, from which both its [`Json`]
+/// tree and its exact compact size derive.
+pub trait JsonEncode {
+    fn encode<S: JsonSink>(&self, out: &mut S);
+
+    /// The encoded value as a tree.
+    fn encode_tree(&self) -> Json {
+        let mut t = JsonTree::new();
+        self.encode(&mut t);
+        t.finish()
+    }
+
+    /// Exactly `self.encode_tree().emit()?.len()`, computed without
+    /// building the tree or the text.
+    fn json_len(&self) -> u64 {
+        let mut n = JsonLen::new();
+        self.encode(&mut n);
+        n.bytes()
+    }
+}
+
+/// [`JsonSink`] that assembles the [`Json`] value.
+#[derive(Debug, Default)]
+pub struct JsonTree {
+    /// Containers opened and not yet closed, innermost last.
+    open: Vec<Open>,
+    root: Option<Json>,
+}
+
+#[derive(Debug)]
+enum Open {
+    Array(Vec<Json>),
+    /// The members so far and the key of the member being written.
+    Object(Vec<(String, Json)>, Option<String>),
+}
+
+impl JsonTree {
+    pub fn new() -> Self {
+        JsonTree::default()
+    }
+
+    /// The finished document. Panics if a container is still open or no
+    /// value was written.
+    pub fn finish(self) -> Json {
+        assert!(self.open.is_empty(), "JsonTree: unclosed container");
+        self.root.expect("JsonTree: no value written")
+    }
+
+    fn value(&mut self, v: Json) {
+        match self.open.last_mut() {
+            None => {
+                assert!(self.root.is_none(), "JsonTree: second top-level value");
+                self.root = Some(v);
+            }
+            Some(Open::Array(items)) => items.push(v),
+            Some(Open::Object(members, key)) => {
+                let k = key.take().expect("JsonTree: object member without a key");
+                members.push((k, v));
+            }
+        }
+    }
+}
+
+impl JsonSink for JsonTree {
+    fn begin_object(&mut self) {
+        self.open.push(Open::Object(Vec::new(), None));
+    }
+
+    fn end_object(&mut self) {
+        match self.open.pop() {
+            Some(Open::Object(members, None)) => self.value(Json::Object(members)),
+            _ => panic!("JsonTree: end_object does not close an object"),
+        }
+    }
+
+    fn begin_array(&mut self) {
+        self.open.push(Open::Array(Vec::new()));
+    }
+
+    fn end_array(&mut self) {
+        match self.open.pop() {
+            Some(Open::Array(items)) => self.value(Json::Array(items)),
+            _ => panic!("JsonTree: end_array does not close an array"),
+        }
+    }
+
+    fn key(&mut self, key: &str) -> &mut Self {
+        match self.open.last_mut() {
+            Some(Open::Object(_, slot @ None)) => *slot = Some(key.to_owned()),
+            _ => panic!("JsonTree: key `{key}` outside an object or twice in a row"),
+        }
+        self
+    }
+
+    fn int(&mut self, n: i64) {
+        self.value(Json::Int(n));
+    }
+
+    fn str(&mut self, s: &str) {
+        self.value(Json::Str(s.to_owned()));
+    }
+
+    fn bool(&mut self, b: bool) {
+        self.value(Json::Bool(b));
+    }
+}
+
+/// [`JsonSink`] that counts the bytes of the compact [`Json::emit`] text
+/// of the same document, without building the document or its text.
+#[derive(Debug, Default)]
+pub struct JsonLen {
+    bytes: u64,
+    /// Whether the next value or key follows a sibling and so needs a comma.
+    comma: bool,
+}
+
+impl JsonLen {
+    pub fn new() -> Self {
+        JsonLen::default()
+    }
+
+    /// Bytes counted so far.
+    pub fn bytes(&self) -> u64 {
+        self.bytes
+    }
+
+    /// A value or key of `len` bytes begins: separate it from a sibling.
+    fn item(&mut self, len: u64) {
+        self.bytes += u64::from(self.comma) + len;
+    }
+}
+
+/// Length of `n` in decimal, as `n.to_string().len()`.
+fn decimal_len(n: i64) -> u64 {
+    const POW10: [u64; 20] = {
+        let mut p = [1u64; 20];
+        let mut i = 1;
+        while i < 20 {
+            p[i] = p[i - 1] * 10;
+            i += 1;
+        }
+        p
+    };
+    // `v | 1` keeps zero at one digit and never crosses a power of ten.
+    // `bits · 1233 / 4096` (1233/4096 ≈ log10 2) is ⌊log10 v⌋ or one more;
+    // a single table compare settles which.
+    let v = n.unsigned_abs() | 1;
+    let t = (((64 - v.leading_zeros()) * 1233) >> 12) as usize;
+    let digits = t as u64 + u64::from(v >= POW10[t]);
+    u64::from(n < 0) + digits
+}
+
+impl JsonSink for JsonLen {
+    fn begin_object(&mut self) {
+        self.item(1);
+        self.comma = false;
+    }
+
+    fn end_object(&mut self) {
+        self.bytes += 1;
+        self.comma = true;
+    }
+
+    fn begin_array(&mut self) {
+        self.item(1);
+        self.comma = false;
+    }
+
+    fn end_array(&mut self) {
+        self.bytes += 1;
+        self.comma = true;
+    }
+
+    fn key(&mut self, key: &str) -> &mut Self {
+        self.item(1); // the `:`
+        write_string(&mut self.bytes, key);
+        self.comma = false;
+        self
+    }
+
+    fn int(&mut self, n: i64) {
+        self.item(decimal_len(n));
+        self.comma = true;
+    }
+
+    fn str(&mut self, s: &str) {
+        self.item(0);
+        write_string(&mut self.bytes, s);
+        self.comma = true;
+    }
+
+    fn bool(&mut self, b: bool) {
+        self.item(bool_text(b).len() as u64);
+        self.comma = true;
     }
 }
 
@@ -629,6 +907,19 @@ mod tests {
     }
 
     #[test]
+    fn integer_extremes_emit_and_round_trip() {
+        for (n, text) in [
+            (i64::MIN, "-9223372036854775808"),
+            (-1, "-1"),
+            (0, "0"),
+            (i64::MAX, "9223372036854775807"),
+        ] {
+            assert_eq!(Json::Int(n).emit().unwrap(), text);
+            assert_eq!(Json::parse(text).unwrap(), Json::Int(n));
+        }
+    }
+
+    #[test]
     fn non_finite_floats_are_rejected_at_emit() {
         for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             assert!(Json::Float(x).emit().is_err());
@@ -649,6 +940,15 @@ mod tests {
             let text = v.emit().unwrap();
             assert_eq!(Json::parse(&text).unwrap(), v, "via {text}");
         }
+    }
+
+    #[test]
+    fn control_characters_escape_as_lowercase_hex() {
+        let v = Json::Str("a\u{1}\u{1f}\u{7f}\"\\\n\r\té".into());
+        assert_eq!(
+            v.emit().unwrap(),
+            "\"a\\u0001\\u001f\u{7f}\\\"\\\\\\n\\r\\té\""
+        );
     }
 
     #[test]
@@ -741,6 +1041,85 @@ mod tests {
     fn uint_array_round_trips() {
         let xs = vec![0u64, 1, 99999];
         assert_eq!(uint_vec(&uint_array(&xs)).unwrap(), xs);
+    }
+
+    #[test]
+    fn decimal_len_matches_formatting() {
+        let mut cases = vec![i64::MIN, i64::MIN + 1, i64::MAX, 0, -1];
+        let mut p: i64 = 1;
+        while let Some(next) = p.checked_mul(10) {
+            cases.extend([p - 1, p, p + 1, -p, -p + 1, -p - 1]);
+            p = next;
+        }
+        cases.extend([p - 1, p, -p]);
+        for n in cases {
+            assert_eq!(decimal_len(n), n.to_string().len() as u64, "{n}");
+        }
+    }
+
+    /// A document touching every sink call: nesting, empty containers,
+    /// escapes, and both `uint` encodings.
+    struct Doc;
+
+    impl JsonEncode for Doc {
+        fn encode<S: JsonSink>(&self, s: &mut S) {
+            s.begin_object();
+            s.key("empty_obj").begin_object();
+            s.end_object();
+            s.key("empty_arr").begin_array();
+            s.end_array();
+            s.key("n").int(i64::MIN);
+            s.key("u").uint(u64::MAX);
+            s.key("i64max").uint(i64::MAX as u64);
+            s.key("esc\"key\u{1}").str("tab\tquote\"ünï\u{1f}");
+            s.key("flags").begin_array();
+            s.bool(true);
+            s.bool(false);
+            s.begin_array();
+            s.int(-7);
+            s.begin_object();
+            s.key("deep").uint(0);
+            s.end_object();
+            s.end_array();
+            s.str("");
+            s.end_array();
+            s.end_object();
+        }
+    }
+
+    #[test]
+    fn sinks_agree_with_the_emitter() {
+        let tree = Doc.encode_tree();
+        let expected = ObjBuilder::new()
+            .field("empty_obj", ObjBuilder::new().build())
+            .array("empty_arr", vec![])
+            .int("n", i64::MIN)
+            .uint("u", u64::MAX)
+            .uint("i64max", i64::MAX as u64)
+            .str("esc\"key\u{1}", "tab\tquote\"ünï\u{1f}")
+            .array(
+                "flags",
+                vec![
+                    Json::Bool(true),
+                    Json::Bool(false),
+                    Json::Array(vec![
+                        Json::Int(-7),
+                        ObjBuilder::new().uint("deep", 0).build(),
+                    ]),
+                    Json::Str(String::new()),
+                ],
+            )
+            .build();
+        assert_eq!(tree, expected);
+        assert_eq!(Doc.json_len(), tree.emit().unwrap().len() as u64);
+        assert_eq!(tree.field("u").unwrap().as_u64().unwrap(), u64::MAX);
+
+        // Scalars on their own are whole documents too.
+        for v in [0, 9, 10, i64::MAX as u64, i64::MAX as u64 + 1, u64::MAX] {
+            let mut n = JsonLen::new();
+            n.uint(v);
+            assert_eq!(n.bytes(), uint_json(v).emit().unwrap().len() as u64, "{v}");
+        }
     }
 
     /// The full `u64` range must survive the codec — stimulus seeds are

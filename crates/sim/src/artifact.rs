@@ -9,6 +9,12 @@
 //! respawned worker is restored from exactly these bytes, which is why the
 //! round-trip must be lossless and the capture deterministic.
 //!
+//! The checkpoint-side types (images, deltas, events, messages, stats)
+//! implement [`JsonEncode`]: one streaming encoder per type, from which
+//! `to_json()` builds the tree and `json_len()` counts the exact compact
+//! size. The recovery supervisor's byte counters use the latter, so they
+//! never serialize an image.
+//!
 //! Flow-level artifact assembly (reports, presim points) stays in
 //! `dvs_core::artifact`; netlist statistics serialize in
 //! `dvs_verilog::artifact`.
@@ -23,13 +29,34 @@ use crate::wheel::NetEvent;
 use crate::wheel::VTime;
 use crate::Logic;
 use dvs_json::{
-    uint_array, uint_vec, FromJson, Json, JsonError, ObjBuilder, ToJson, SCHEMA_VERSION,
+    uint_array, uint_vec, FromJson, Json, JsonEncode, JsonError, JsonSink, ObjBuilder, ToJson,
+    SCHEMA_VERSION,
 };
 use dvs_verilog::netlist::NetId;
 
 /// A logic-value vector as a compact display-char string (`"01xz…"`).
 pub(crate) fn logic_str(values: &[Logic]) -> String {
     values.iter().map(|v| v.display_char()).collect()
+}
+
+fn encode_logic<S: JsonSink>(s: &mut S, v: Logic) {
+    s.str(v.display_char().encode_utf8(&mut [0; 4]));
+}
+
+/// An array of `items`, each written by `enc`.
+fn encode_array<S: JsonSink, T>(s: &mut S, items: &[T], mut enc: impl FnMut(&mut S, &T)) {
+    s.begin_array();
+    for item in items {
+        enc(s, item);
+    }
+    s.end_array();
+}
+
+fn encode_uint_pair<S: JsonSink>(s: &mut S, a: u64, b: u64) {
+    s.begin_array();
+    s.uint(a);
+    s.uint(b);
+    s.end_array();
 }
 
 pub(crate) fn logic_vec(v: &Json) -> Result<Vec<Logic>, JsonError> {
@@ -54,21 +81,27 @@ pub(crate) fn logic_from_json(v: &Json) -> Result<Logic, JsonError> {
     }
 }
 
+impl JsonEncode for SimStats {
+    fn encode<S: JsonSink>(&self, s: &mut S) {
+        s.begin_object();
+        s.key("events").uint(self.events);
+        s.key("gate_evals").uint(self.gate_evals);
+        s.key("net_toggles").uint(self.net_toggles);
+        s.key("cycles").uint(self.cycles);
+        s.key("end_time").uint(self.end_time);
+        s.key("messages").uint(self.messages);
+        s.key("anti_messages").uint(self.anti_messages);
+        s.key("rollbacks").uint(self.rollbacks);
+        s.key("rolled_back_events").uint(self.rolled_back_events);
+        s.key("gvt_rounds").uint(self.gvt_rounds);
+        s.key("fossil_collected").uint(self.fossil_collected);
+        s.end_object();
+    }
+}
+
 impl ToJson for SimStats {
     fn to_json(&self) -> Json {
-        ObjBuilder::new()
-            .uint("events", self.events)
-            .uint("gate_evals", self.gate_evals)
-            .uint("net_toggles", self.net_toggles)
-            .uint("cycles", self.cycles)
-            .uint("end_time", self.end_time)
-            .uint("messages", self.messages)
-            .uint("anti_messages", self.anti_messages)
-            .uint("rollbacks", self.rollbacks)
-            .uint("rolled_back_events", self.rolled_back_events)
-            .uint("gvt_rounds", self.gvt_rounds)
-            .uint("fossil_collected", self.fossil_collected)
-            .build()
+        self.encode_tree()
     }
 }
 
@@ -238,20 +271,22 @@ impl ToJson for TwRunResult {
     }
 }
 
-fn ckpt_source_json(s: &CkptSource) -> Json {
-    match *s {
-        CkptSource::Stimulus => ObjBuilder::new().str("kind", "stimulus").build(),
-        CkptSource::Local { created_at, lseq } => ObjBuilder::new()
-            .str("kind", "local")
-            .uint("created_at", created_at)
-            .uint("lseq", lseq)
-            .build(),
-        CkptSource::Remote { src, seq } => ObjBuilder::new()
-            .str("kind", "remote")
-            .uint("src", src as u64)
-            .uint("seq", seq)
-            .build(),
+fn encode_ckpt_source<S: JsonSink>(s: &mut S, src: &CkptSource) {
+    s.begin_object();
+    match *src {
+        CkptSource::Stimulus => s.key("kind").str("stimulus"),
+        CkptSource::Local { created_at, lseq } => {
+            s.key("kind").str("local");
+            s.key("created_at").uint(created_at);
+            s.key("lseq").uint(lseq);
+        }
+        CkptSource::Remote { src, seq } => {
+            s.key("kind").str("remote");
+            s.key("src").uint(src.into());
+            s.key("seq").uint(seq);
+        }
     }
+    s.end_object();
 }
 
 fn ckpt_source_from_json(v: &Json) -> Result<CkptSource, JsonError> {
@@ -269,15 +304,21 @@ fn ckpt_source_from_json(v: &Json) -> Result<CkptSource, JsonError> {
     }
 }
 
+impl JsonEncode for CkptEvent {
+    fn encode<S: JsonSink>(&self, s: &mut S) {
+        s.begin_object();
+        s.key("time").uint(self.time);
+        s.key("net").uint(self.net.into());
+        encode_logic(s.key("value"), self.value);
+        encode_ckpt_source(s.key("source"), &self.source);
+        s.key("order").uint(self.order);
+        s.end_object();
+    }
+}
+
 impl ToJson for CkptEvent {
     fn to_json(&self) -> Json {
-        ObjBuilder::new()
-            .uint("time", self.time)
-            .uint("net", self.net as u64)
-            .str("value", &self.value.display_char().to_string())
-            .field("source", ckpt_source_json(&self.source))
-            .uint("order", self.order)
-            .build()
+        self.encode_tree()
     }
 }
 
@@ -293,17 +334,23 @@ impl FromJson for CkptEvent {
     }
 }
 
+impl JsonEncode for TwMessage {
+    fn encode<S: JsonSink>(&self, s: &mut S) {
+        s.begin_object();
+        s.key("src").uint(self.src.into());
+        s.key("dst").uint(self.dst.into());
+        s.key("seq").uint(self.seq);
+        s.key("time").uint(self.ev.time);
+        s.key("net").uint(self.ev.net.0.into());
+        encode_logic(s.key("value"), self.ev.value);
+        s.key("anti").bool(self.anti);
+        s.end_object();
+    }
+}
+
 impl ToJson for TwMessage {
     fn to_json(&self) -> Json {
-        ObjBuilder::new()
-            .uint("src", self.src as u64)
-            .uint("dst", self.dst as u64)
-            .uint("seq", self.seq)
-            .uint("time", self.ev.time)
-            .uint("net", self.ev.net.0 as u64)
-            .str("value", &self.ev.value.display_char().to_string())
-            .bool("anti", self.anti)
-            .build()
+        self.encode_tree()
     }
 }
 
@@ -323,82 +370,54 @@ impl FromJson for TwMessage {
     }
 }
 
-impl ToJson for Checkpoint {
+impl JsonEncode for Checkpoint {
     /// Schema-versioned checkpoint artifact (`kind: "tw_checkpoint"`). The
     /// capture is deterministic (nondeterministic collections are sorted
     /// when the image is taken), so equal cluster states serialize to
     /// byte-identical artifacts and the round-trip through [`FromJson`] is
     /// lossless — the `checkpoint_roundtrip` suite asserts both. These are
     /// the exact bytes the process transport ships in `Restore` frames.
+    fn encode<S: JsonSink>(&self, s: &mut S) {
+        s.begin_object();
+        s.key("schema_version").int(SCHEMA_VERSION);
+        s.key("kind").str("tw_checkpoint");
+        s.key("checkpoint_schema").uint(self.schema.into());
+        s.key("cluster").uint(self.cluster.into());
+        s.key("gvt").uint(self.gvt);
+        s.key("values").str(&logic_str(&self.values));
+        encode_array(s.key("pending"), &self.pending, |s, e| e.encode(s));
+        encode_array(s.key("tomb_remote"), &self.tomb_remote, |s, &(src, seq)| {
+            encode_uint_pair(s, src.into(), seq)
+        });
+        encode_array(s.key("tomb_local"), &self.tomb_local, |s, &n| s.uint(n));
+        encode_array(s.key("processed"), &self.processed, |s, e| e.encode(s));
+        encode_array(s.key("undo"), &self.undo, encode_undo_entry);
+        encode_array(s.key("snapshots"), &self.snapshots, encode_snapshot_entry);
+        s.key("epochs_since_snapshot")
+            .uint(self.epochs_since_snapshot.into());
+        encode_array(s.key("outlog"), &self.outlog, |s, (t, m)| {
+            s.begin_array();
+            s.uint(*t);
+            m.encode(s);
+            s.end_array();
+        });
+        encode_array(s.key("sched_log"), &self.sched_log, |s, &(t, lseq)| {
+            encode_uint_pair(s, t, lseq)
+        });
+        s.key("stim_cycle").uint(self.stim_cycle);
+        s.key("last_time").uint(self.last_time);
+        s.key("settled").bool(self.settled);
+        s.key("order").uint(self.order);
+        s.key("lseq").uint(self.lseq);
+        s.key("mseq").uint(self.mseq);
+        self.stats.encode(s.key("stats"));
+        s.end_object();
+    }
+}
+
+impl ToJson for Checkpoint {
     fn to_json(&self) -> Json {
-        ObjBuilder::new()
-            .int("schema_version", SCHEMA_VERSION)
-            .str("kind", "tw_checkpoint")
-            .uint("checkpoint_schema", self.schema as u64)
-            .uint("cluster", self.cluster as u64)
-            .uint("gvt", self.gvt)
-            .str("values", &logic_str(&self.values))
-            .array(
-                "pending",
-                self.pending.iter().map(|e| e.to_json()).collect(),
-            )
-            .array(
-                "tomb_remote",
-                self.tomb_remote
-                    .iter()
-                    .map(|&(src, seq)| uint_array(&[src as u64, seq]))
-                    .collect(),
-            )
-            .field("tomb_local", uint_array(&self.tomb_local))
-            .array(
-                "processed",
-                self.processed.iter().map(|e| e.to_json()).collect(),
-            )
-            .array(
-                "undo",
-                self.undo
-                    .iter()
-                    .map(|&(t, net, val)| {
-                        Json::Array(vec![
-                            Json::Int(t as i64),
-                            Json::Int(net as i64),
-                            Json::Str(val.display_char().to_string()),
-                        ])
-                    })
-                    .collect(),
-            )
-            .array(
-                "snapshots",
-                self.snapshots
-                    .iter()
-                    .map(|(t, vals)| {
-                        Json::Array(vec![Json::Int(*t as i64), Json::Str(logic_str(vals))])
-                    })
-                    .collect(),
-            )
-            .uint("epochs_since_snapshot", self.epochs_since_snapshot as u64)
-            .array(
-                "outlog",
-                self.outlog
-                    .iter()
-                    .map(|(t, m)| Json::Array(vec![Json::Int(*t as i64), m.to_json()]))
-                    .collect(),
-            )
-            .array(
-                "sched_log",
-                self.sched_log
-                    .iter()
-                    .map(|&(t, lseq)| uint_array(&[t, lseq]))
-                    .collect(),
-            )
-            .uint("stim_cycle", self.stim_cycle)
-            .uint("last_time", self.last_time)
-            .bool("settled", self.settled)
-            .uint("order", self.order)
-            .uint("lseq", self.lseq)
-            .uint("mseq", self.mseq)
-            .field("stats", self.stats.to_json())
-            .build()
+        self.encode_tree()
     }
 }
 
@@ -512,12 +531,12 @@ impl FromJson for Checkpoint {
 
 // --- delta checkpoint codec -------------------------------------------------
 
-fn undo_entry_json(&(t, net, val): &(VTime, u32, Logic)) -> Json {
-    Json::Array(vec![
-        Json::Int(t as i64),
-        Json::Int(net as i64),
-        Json::Str(val.display_char().to_string()),
-    ])
+fn encode_undo_entry<S: JsonSink>(s: &mut S, &(t, net, val): &(VTime, u32, Logic)) {
+    s.begin_array();
+    s.uint(t);
+    s.uint(net.into());
+    encode_logic(s, val);
+    s.end_array();
 }
 
 fn undo_entry_from(u: &Json) -> Result<(VTime, u32, Logic), JsonError> {
@@ -527,8 +546,11 @@ fn undo_entry_from(u: &Json) -> Result<(VTime, u32, Logic), JsonError> {
     }
 }
 
-fn snapshot_entry_json((t, vals): &(VTime, Vec<Logic>)) -> Json {
-    Json::Array(vec![Json::Int(*t as i64), Json::Str(logic_str(vals))])
+fn encode_snapshot_entry<S: JsonSink>(s: &mut S, (t, vals): &(VTime, Vec<Logic>)) {
+    s.begin_array();
+    s.uint(*t);
+    s.str(&logic_str(vals));
+    s.end_array();
 }
 
 fn snapshot_entry_from(s: &Json) -> Result<(VTime, Vec<Logic>), JsonError> {
@@ -543,27 +565,26 @@ fn snapshot_entry_from(s: &Json) -> Result<(VTime, Vec<Logic>), JsonError> {
 /// stimulus events, plus a `"l", created_at, lseq` or `"r", src, seq` tail
 /// for local and remote ones. The full-image codec keeps the verbose
 /// object form — images are shipped rarely, deltas every round.
-fn ckpt_event_compact_json(e: &CkptEvent) -> Json {
-    let mut a = vec![
-        Json::Int(e.time as i64),
-        Json::Int(e.net as i64),
-        Json::Str(e.value.display_char().to_string()),
-        Json::Int(e.order as i64),
-    ];
+fn encode_event_compact<S: JsonSink>(s: &mut S, e: &CkptEvent) {
+    s.begin_array();
+    s.uint(e.time);
+    s.uint(e.net.into());
+    encode_logic(s, e.value);
+    s.uint(e.order);
     match e.source {
         CkptSource::Stimulus => {}
         CkptSource::Local { created_at, lseq } => {
-            a.push(Json::Str("l".into()));
-            a.push(Json::Int(created_at as i64));
-            a.push(Json::Int(lseq as i64));
+            s.str("l");
+            s.uint(created_at);
+            s.uint(lseq);
         }
         CkptSource::Remote { src, seq } => {
-            a.push(Json::Str("r".into()));
-            a.push(Json::Int(src as i64));
-            a.push(Json::Int(seq as i64));
+            s.str("r");
+            s.uint(src.into());
+            s.uint(seq);
         }
     }
-    Json::Array(a)
+    s.end_array();
 }
 
 fn ckpt_event_compact_from(v: &Json) -> Result<CkptEvent, JsonError> {
@@ -598,17 +619,17 @@ fn ckpt_event_compact_from(v: &Json) -> Result<CkptEvent, JsonError> {
 
 /// Compact output-log entry for delta artifacts:
 /// `[log_time, src, dst, seq, ev_time, net, "v", anti]`.
-fn outlog_compact_json((t, m): &(VTime, TwMessage)) -> Json {
-    Json::Array(vec![
-        Json::Int(*t as i64),
-        Json::Int(m.src as i64),
-        Json::Int(m.dst as i64),
-        Json::Int(m.seq as i64),
-        Json::Int(m.ev.time as i64),
-        Json::Int(m.ev.net.0 as i64),
-        Json::Str(m.ev.value.display_char().to_string()),
-        Json::Bool(m.anti),
-    ])
+fn encode_outlog_compact<S: JsonSink>(s: &mut S, (t, m): &(VTime, TwMessage)) {
+    s.begin_array();
+    s.uint(*t);
+    s.uint(m.src.into());
+    s.uint(m.dst.into());
+    s.uint(m.seq);
+    s.uint(m.ev.time);
+    s.uint(m.ev.net.0.into());
+    encode_logic(s, m.ev.value);
+    s.bool(m.anti);
+    s.end_array();
 }
 
 fn outlog_compact_from(v: &Json) -> Result<(VTime, TwMessage), JsonError> {
@@ -633,12 +654,28 @@ fn outlog_compact_from(v: &Json) -> Result<(VTime, TwMessage), JsonError> {
     }
 }
 
-fn log_delta_json<T>(d: &LogDelta<T>, enc: impl Fn(&T) -> Json) -> Json {
-    ObjBuilder::new()
-        .uint("drop", d.drop_front as u64)
-        .uint("keep", d.keep as u64)
-        .array("append", d.append.iter().map(enc).collect())
-        .build()
+/// A set edit under `key`, omitted when empty.
+fn encode_set_edit<S: JsonSink, T>(s: &mut S, key: &str, items: &[T], enc: impl FnMut(&mut S, &T)) {
+    if !items.is_empty() {
+        encode_array(s.key(key), items, enc);
+    }
+}
+
+/// A log edit under `key`, omitted when it is the `KEEP_ALL` identity.
+fn encode_log_delta<S: JsonSink, T>(
+    s: &mut S,
+    key: &str,
+    d: &LogDelta<T>,
+    enc: impl FnMut(&mut S, &T),
+) {
+    if d.is_keep_all() {
+        return;
+    }
+    s.key(key).begin_object();
+    s.key("drop").uint(d.drop_front.into());
+    s.key("keep").uint(d.keep.into());
+    encode_array(s.key("append"), &d.append, enc);
+    s.end_object();
 }
 
 fn log_delta_from<T>(
@@ -657,20 +694,18 @@ fn log_delta_from<T>(
     })
 }
 
-fn values_delta_json(d: &ValuesDelta) -> Json {
+fn encode_values_delta<S: JsonSink>(s: &mut S, d: &ValuesDelta) {
+    s.begin_object();
     match d {
-        ValuesDelta::Full(vals) => ObjBuilder::new().str("full", &logic_str(vals)).build(),
-        ValuesDelta::Runs(runs) => ObjBuilder::new()
-            .array(
-                "runs",
-                runs.iter()
-                    .map(|(start, vals)| {
-                        Json::Array(vec![Json::Int(*start as i64), Json::Str(logic_str(vals))])
-                    })
-                    .collect(),
-            )
-            .build(),
+        ValuesDelta::Full(vals) => s.key("full").str(&logic_str(vals)),
+        ValuesDelta::Runs(runs) => encode_array(s.key("runs"), runs, |s, (start, vals)| {
+            s.begin_array();
+            s.uint((*start).into());
+            s.str(&logic_str(vals));
+            s.end_array();
+        }),
     }
+    s.end_object();
 }
 
 fn values_delta_from(v: &Json) -> Result<ValuesDelta, JsonError> {
@@ -689,105 +724,64 @@ fn values_delta_from(v: &Json) -> Result<ValuesDelta, JsonError> {
     Ok(ValuesDelta::Runs(runs))
 }
 
-impl ToJson for CheckpointDelta {
+impl JsonEncode for CheckpointDelta {
     /// Schema-versioned delta artifact (`kind: "tw_checkpoint_delta"`) —
     /// the edits against the previous round's image. Like the full image,
     /// the encoding is deterministic and lossless, and it doubles as the
     /// wire format: the process transport ships delta chains in `restore`
     /// frames and individual deltas in `ckpt_delta` replies.
-    fn to_json(&self) -> Json {
+    fn encode<S: JsonSink>(&self, s: &mut S) {
         // No-change fields are omitted entirely — a delta's cost should
         // track what actually changed, not the number of fields in the
         // image. Absent set edits mean empty, an absent `values` field
         // means no net changed, and an absent log field is the `KEEP_ALL`
         // identity edit. The emission is still a deterministic function of
         // the delta, so byte-identity comparisons stay valid.
-        let mut b = ObjBuilder::new()
-            .int("schema_version", SCHEMA_VERSION)
-            .str("kind", "tw_checkpoint_delta")
-            .uint("checkpoint_schema", self.schema as u64)
-            .uint("cluster", self.cluster as u64)
-            .uint("base_gvt", self.base_gvt)
-            .uint("gvt", self.gvt);
-        let identity_values = matches!(&self.values, ValuesDelta::Runs(runs) if runs.is_empty());
-        if !identity_values {
-            b = b.field("values", values_delta_json(&self.values));
+        s.begin_object();
+        s.key("schema_version").int(SCHEMA_VERSION);
+        s.key("kind").str("tw_checkpoint_delta");
+        s.key("checkpoint_schema").uint(self.schema.into());
+        s.key("cluster").uint(self.cluster.into());
+        s.key("base_gvt").uint(self.base_gvt);
+        s.key("gvt").uint(self.gvt);
+        if !matches!(&self.values, ValuesDelta::Runs(runs) if runs.is_empty()) {
+            encode_values_delta(s.key("values"), &self.values);
         }
-        if !self.pending_removed.is_empty() {
-            b = b.array(
-                "pending_removed",
-                self.pending_removed
-                    .iter()
-                    .map(|&(t, order)| uint_array(&[t, order]))
-                    .collect(),
-            );
-        }
-        if !self.pending_added.is_empty() {
-            b = b.array(
-                "pending_added",
-                self.pending_added
-                    .iter()
-                    .map(ckpt_event_compact_json)
-                    .collect(),
-            );
-        }
-        if !self.tomb_remote_removed.is_empty() {
-            b = b.array(
-                "tomb_remote_removed",
-                self.tomb_remote_removed
-                    .iter()
-                    .map(|&(src, seq)| uint_array(&[src as u64, seq]))
-                    .collect(),
-            );
-        }
-        if !self.tomb_remote_added.is_empty() {
-            b = b.array(
-                "tomb_remote_added",
-                self.tomb_remote_added
-                    .iter()
-                    .map(|&(src, seq)| uint_array(&[src as u64, seq]))
-                    .collect(),
-            );
-        }
-        if !self.tomb_local_removed.is_empty() {
-            b = b.field("tomb_local_removed", uint_array(&self.tomb_local_removed));
-        }
-        if !self.tomb_local_added.is_empty() {
-            b = b.field("tomb_local_added", uint_array(&self.tomb_local_added));
-        }
-        if !self.processed.is_keep_all() {
-            b = b.field(
-                "processed",
-                log_delta_json(&self.processed, ckpt_event_compact_json),
-            );
-        }
-        if !self.undo.is_keep_all() {
-            b = b.field("undo", log_delta_json(&self.undo, undo_entry_json));
-        }
-        if !self.snapshots.is_keep_all() {
-            b = b.field(
-                "snapshots",
-                log_delta_json(&self.snapshots, snapshot_entry_json),
-            );
-        }
-        if !self.outlog.is_keep_all() {
-            b = b.field("outlog", log_delta_json(&self.outlog, outlog_compact_json));
-        }
-        if !self.sched_log.is_keep_all() {
-            b = b.field(
-                "sched_log",
-                log_delta_json(&self.sched_log, |&(t, lseq)| uint_array(&[t, lseq])),
-            );
-        }
-        b.uint("epochs_since_snapshot", self.epochs_since_snapshot as u64)
-            .uint("stim_cycle", self.stim_cycle)
-            .uint("last_time", self.last_time)
-            .bool("settled", self.settled)
-            .uint("order", self.order)
-            .uint("lseq", self.lseq)
-            .uint("mseq", self.mseq)
-            .field("stats", self.stats.to_json())
-            .build()
+        let pair = |s: &mut S, &(a, b): &(u64, u64)| encode_uint_pair(s, a, b);
+        let remote = |s: &mut S, &(src, seq): &(u32, u64)| encode_uint_pair(s, src.into(), seq);
+        let local = |s: &mut S, &n: &u64| s.uint(n);
+        encode_set_edit(s, "pending_removed", &self.pending_removed, pair);
+        encode_set_edit(
+            s,
+            "pending_added",
+            &self.pending_added,
+            encode_event_compact,
+        );
+        encode_set_edit(s, "tomb_remote_removed", &self.tomb_remote_removed, remote);
+        encode_set_edit(s, "tomb_remote_added", &self.tomb_remote_added, remote);
+        encode_set_edit(s, "tomb_local_removed", &self.tomb_local_removed, local);
+        encode_set_edit(s, "tomb_local_added", &self.tomb_local_added, local);
+        encode_log_delta(s, "processed", &self.processed, encode_event_compact);
+        encode_log_delta(s, "undo", &self.undo, encode_undo_entry);
+        encode_log_delta(s, "snapshots", &self.snapshots, encode_snapshot_entry);
+        encode_log_delta(s, "outlog", &self.outlog, encode_outlog_compact);
+        encode_log_delta(s, "sched_log", &self.sched_log, pair);
+        s.key("epochs_since_snapshot")
+            .uint(self.epochs_since_snapshot.into());
+        s.key("stim_cycle").uint(self.stim_cycle);
+        s.key("last_time").uint(self.last_time);
+        s.key("settled").bool(self.settled);
+        s.key("order").uint(self.order);
+        s.key("lseq").uint(self.lseq);
+        s.key("mseq").uint(self.mseq);
+        self.stats.encode(s.key("stats"));
+        s.end_object();
+    }
+}
+
+impl ToJson for CheckpointDelta {
+    fn to_json(&self) -> Json {
+        self.encode_tree()
     }
 }
 

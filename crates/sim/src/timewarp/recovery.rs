@@ -131,12 +131,15 @@ pub struct RecoveryOutcome {
     pub replayed_ops: u64,
     /// The cluster that died, once per crash, in crash order.
     pub victims: Vec<u32>,
-    /// Canonical-JSON bytes of every full base image captured during the
-    /// run (including the initial GVT-0 bases). Counted identically on all
-    /// deterministic transports, so it is exact and seed-reproducible.
+    /// Bytes of every full base image captured during the run (including
+    /// the initial GVT-0 bases): the exact length of each image's compact
+    /// JSON, computed by the codec's own encoder without serializing
+    /// ([`JsonEncode::json_len`](dvs_json::JsonEncode::json_len)).
+    /// Identical on every transport, so it is exact and seed-reproducible.
     pub checkpoint_bytes_full: u64,
-    /// Canonical-JSON bytes of every delta image captured during the run
-    /// (zero on the default every-round cadence).
+    /// Bytes of every delta image captured during the run (zero on the
+    /// default every-round cadence), counted the same way as
+    /// [`checkpoint_bytes_full`](Self::checkpoint_bytes_full).
     pub checkpoint_bytes_delta: u64,
     /// Corrupt frames the supervisor observed on the wire (CRC32
     /// mismatches, sequence gaps, zero-length or oversized frames), each

@@ -88,7 +88,7 @@ use crate::logic::Logic;
 use crate::stats::SimStats;
 use crate::stimulus::VectorStimulus;
 use crate::wheel::VTime;
-use dvs_json::{uint_array, uint_vec, FromJson, Json, ObjBuilder, ToJson};
+use dvs_json::{uint_array, uint_vec, FromJson, Json, JsonEncode, ObjBuilder, ToJson};
 use dvs_verilog::netlist::{Gate, GateId, GateKind, InstId, Net, NetId, Netlist};
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
@@ -620,7 +620,7 @@ pub(crate) fn run_supervisor<W: ClusterWorker>(
         let mut cks = Vec::with_capacity(k);
         for (i, w) in workers.iter_mut().enumerate() {
             let ck = w.checkpoint(0).map_err(|f| fatal(i as u32, f))?;
-            outcome.checkpoint_bytes_full += json_len(&ck.to_json());
+            outcome.checkpoint_bytes_full += ck.json_len();
             cks.push(ck);
         }
         Some(RecoveryLog::from_checkpoints(
@@ -686,13 +686,6 @@ enum OpOutcome {
 enum Captured {
     Base(Checkpoint),
     Delta(CheckpointDelta),
-}
-
-/// Canonical serialized size of an image, counted identically on every
-/// deterministic transport (the supervisor re-emits the parsed struct, so
-/// wire formatting differences cannot leak into the exact counters).
-fn json_len(j: &Json) -> u64 {
-    j.emit().map_or(0, |s| s.len() as u64)
 }
 
 struct Supervisor<'a, W: ClusterWorker> {
@@ -1048,14 +1041,14 @@ impl<W: ClusterWorker> Supervisor<'_, W> {
                         };
                         match captured {
                             Ok(Captured::Base(ck)) => {
-                                self.outcome.checkpoint_bytes_full += json_len(&ck.to_json());
+                                self.outcome.checkpoint_bytes_full += ck.json_len();
                                 if let Some(log) = self.log.as_mut() {
                                     log.set_base(i, ck);
                                 }
                                 break;
                             }
                             Ok(Captured::Delta(d)) => {
-                                self.outcome.checkpoint_bytes_delta += json_len(&d.to_json());
+                                self.outcome.checkpoint_bytes_delta += d.json_len();
                                 if let Some(log) = self.log.as_mut() {
                                     log.push_delta(i, d);
                                 }

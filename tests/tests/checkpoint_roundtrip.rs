@@ -3,8 +3,11 @@
 //! (b) restore to a process whose state image is identical to the
 //! original's, and (c) make mid-run crash-restore invisible — identical
 //! counters to an uninterrupted run — across every schedule policy and a
-//! spread of seeds.
+//! spread of seeds. Over arbitrary images and deltas, with every integer
+//! drawn from its full domain, the codec round-trips and `json_len` equals
+//! the length of the emitted text.
 
+use dvs_core::json::JsonEncode;
 use dvs_core::multiway::{partition_multiway, MultiwayConfig};
 use dvs_core::{FromJson, Json, ToJson};
 use dvs_integration_tests::elaborate;
@@ -13,13 +16,18 @@ use dvs_sim::stimulus::VectorStimulus;
 use dvs_sim::timewarp::dst::first_cut_channel;
 use dvs_sim::timewarp::proc::ClusterProcess;
 use dvs_sim::timewarp::{
-    run_timewarp, Checkpoint, CheckpointCadence, CheckpointDelta, DeltaError, FaultPlan,
-    SchedulePolicy, StateSaving, TimeWarpConfig, Transport, TwMessage,
+    run_timewarp, Checkpoint, CheckpointCadence, CheckpointDelta, CkptEvent, CkptSource,
+    DeltaError, FaultPlan, LogDelta, SchedulePolicy, StateSaving, TimeWarpConfig, Transport,
+    TwMessage, ValuesDelta, CHECKPOINT_SCHEMA,
 };
-use dvs_verilog::Netlist;
+use dvs_sim::wheel::NetEvent;
+use dvs_sim::{Logic, SimStats};
+use dvs_verilog::{NetId, Netlist};
 use dvs_workloads::seqcirc::generate_counter;
 use dvs_workloads::viterbi::{generate_viterbi, ViterbiParams};
 use proptest::prelude::*;
+use proptest::test_runner::TestRng;
+use rand::Rng;
 
 /// Drive a two-cluster system by hand for `epochs` scheduling steps,
 /// shuttling messages between the processes, and return the processes —
@@ -130,6 +138,7 @@ proptest! {
             let back = Checkpoint::from_json(&Json::parse(&text).expect("parse"))
                 .expect("checkpoint deserializes");
             prop_assert_eq!(&back, &ck, "round-trip lost information");
+            prop_assert_eq!(ck.json_len(), text.len() as u64);
             // Determinism of capture and of serialization.
             let again = p.checkpoint(gvt);
             prop_assert_eq!(&again, &ck);
@@ -191,6 +200,7 @@ proptest! {
                 let back = CheckpointDelta::from_json(&Json::parse(&text).expect("parse"))
                     .expect("delta deserializes");
                 prop_assert_eq!(&back, &d, "round-trip lost information");
+                prop_assert_eq!(d.json_len(), text.len() as u64);
                 prop_assert_eq!(back.to_json().emit().expect("emit"), text);
                 let next = pair[0].apply_delta(&back).expect("delta applies");
                 prop_assert_eq!(&next, &pair[1], "decoded delta does not reproduce next image");
@@ -236,6 +246,223 @@ proptest! {
                 prop_assert_eq!(&restored.checkpoint(expected.gvt), expected);
             }
         }
+    }
+}
+
+// --- arbitrary images and deltas over the full integer domain -------------
+
+/// A `u64` from the whole domain, with the encoding boundaries (zero, the
+/// `i64::MAX` edge where the integer encoding turns into a decimal string,
+/// `u64::MAX`) drawn far more often than uniform sampling would.
+fn any_u64(rng: &mut TestRng) -> u64 {
+    match rng.gen_range(0..6) {
+        0 => 0,
+        1 => u64::MAX,
+        2 => rng.gen_range(i64::MAX as u64 - 2..=i64::MAX as u64 + 2),
+        3 => rng.gen_range(0..1_000),
+        _ => rng.gen_range(0..=u64::MAX),
+    }
+}
+
+fn any_u32(rng: &mut TestRng) -> u32 {
+    match rng.gen_range(0..4) {
+        0 => 0,
+        1 => u32::MAX,
+        _ => rng.gen_range(0..=u32::MAX),
+    }
+}
+
+/// Empty about a third of the time, so every elision path is exercised.
+fn any_vec<T>(rng: &mut TestRng, mut item: impl FnMut(&mut TestRng) -> T) -> Vec<T> {
+    let n = rng.gen_range(0..4usize);
+    (0..n).map(|_| item(rng)).collect()
+}
+
+fn any_logic(rng: &mut TestRng) -> Logic {
+    [Logic::Zero, Logic::One, Logic::X, Logic::Z][rng.gen_range(0..4usize)]
+}
+
+fn any_logic_vec(rng: &mut TestRng) -> Vec<Logic> {
+    let n = rng.gen_range(0..9usize);
+    (0..n).map(|_| any_logic(rng)).collect()
+}
+
+fn any_event(rng: &mut TestRng) -> CkptEvent {
+    let source = match rng.gen_range(0..3) {
+        0 => CkptSource::Stimulus,
+        1 => CkptSource::Local {
+            created_at: any_u64(rng),
+            lseq: any_u64(rng),
+        },
+        _ => CkptSource::Remote {
+            src: any_u32(rng),
+            seq: any_u64(rng),
+        },
+    };
+    CkptEvent {
+        time: any_u64(rng),
+        net: any_u32(rng),
+        value: any_logic(rng),
+        source,
+        order: any_u64(rng),
+    }
+}
+
+fn any_message(rng: &mut TestRng) -> TwMessage {
+    TwMessage {
+        src: any_u32(rng),
+        dst: any_u32(rng),
+        seq: any_u64(rng),
+        ev: NetEvent {
+            time: any_u64(rng),
+            net: NetId(any_u32(rng)),
+            value: any_logic(rng),
+        },
+        anti: rng.gen_bool(0.5),
+    }
+}
+
+fn any_stats(rng: &mut TestRng) -> SimStats {
+    SimStats {
+        events: any_u64(rng),
+        gate_evals: any_u64(rng),
+        net_toggles: any_u64(rng),
+        cycles: any_u64(rng),
+        end_time: any_u64(rng),
+        messages: any_u64(rng),
+        anti_messages: any_u64(rng),
+        rollbacks: any_u64(rng),
+        rolled_back_events: any_u64(rng),
+        gvt_rounds: any_u64(rng),
+        fossil_collected: any_u64(rng),
+    }
+}
+
+fn any_undo(rng: &mut TestRng) -> (u64, u32, Logic) {
+    (any_u64(rng), any_u32(rng), any_logic(rng))
+}
+
+fn any_snapshot(rng: &mut TestRng) -> (u64, Vec<Logic>) {
+    (any_u64(rng), any_logic_vec(rng))
+}
+
+fn any_pair(rng: &mut TestRng) -> (u64, u64) {
+    (any_u64(rng), any_u64(rng))
+}
+
+fn any_remote(rng: &mut TestRng) -> (u32, u64) {
+    (any_u32(rng), any_u64(rng))
+}
+
+fn any_log<T>(rng: &mut TestRng, item: impl FnMut(&mut TestRng) -> T) -> LogDelta<T> {
+    if rng.gen_range(0..4) == 0 {
+        return LogDelta::keep_all();
+    }
+    LogDelta {
+        drop_front: any_u32(rng),
+        keep: any_u32(rng),
+        append: any_vec(rng, item),
+    }
+}
+
+/// An arbitrary full image: not one a run would produce, but one the codec
+/// must carry exactly.
+struct AnyCheckpoint;
+
+impl Strategy for AnyCheckpoint {
+    type Value = Checkpoint;
+
+    fn generate(&self, rng: &mut TestRng) -> Checkpoint {
+        Checkpoint {
+            schema: CHECKPOINT_SCHEMA,
+            cluster: any_u32(rng),
+            gvt: any_u64(rng),
+            values: any_logic_vec(rng),
+            pending: any_vec(rng, any_event),
+            tomb_remote: any_vec(rng, any_remote),
+            tomb_local: any_vec(rng, any_u64),
+            processed: any_vec(rng, any_event),
+            undo: any_vec(rng, any_undo),
+            snapshots: any_vec(rng, any_snapshot),
+            epochs_since_snapshot: any_u32(rng),
+            outlog: any_vec(rng, |r| (any_u64(r), any_message(r))),
+            sched_log: any_vec(rng, any_pair),
+            stim_cycle: any_u64(rng),
+            last_time: any_u64(rng),
+            settled: rng.gen_bool(0.5),
+            order: any_u64(rng),
+            lseq: any_u64(rng),
+            mseq: any_u64(rng),
+            stats: any_stats(rng),
+        }
+    }
+}
+
+/// An arbitrary delta, `values` either a dense replacement or sparse runs.
+struct AnyDelta;
+
+impl Strategy for AnyDelta {
+    type Value = CheckpointDelta;
+
+    fn generate(&self, rng: &mut TestRng) -> CheckpointDelta {
+        let values = if rng.gen_bool(0.5) {
+            ValuesDelta::Full(any_logic_vec(rng))
+        } else {
+            ValuesDelta::Runs(any_vec(rng, |r| (any_u32(r), any_logic_vec(r))))
+        };
+        CheckpointDelta {
+            schema: CHECKPOINT_SCHEMA,
+            cluster: any_u32(rng),
+            base_gvt: any_u64(rng),
+            gvt: any_u64(rng),
+            values,
+            pending_removed: any_vec(rng, any_pair),
+            pending_added: any_vec(rng, any_event),
+            tomb_remote_removed: any_vec(rng, any_remote),
+            tomb_remote_added: any_vec(rng, any_remote),
+            tomb_local_removed: any_vec(rng, any_u64),
+            tomb_local_added: any_vec(rng, any_u64),
+            processed: any_log(rng, any_event),
+            undo: any_log(rng, any_undo),
+            snapshots: any_log(rng, any_snapshot),
+            epochs_since_snapshot: any_u32(rng),
+            outlog: any_log(rng, |r| (any_u64(r), any_message(r))),
+            sched_log: any_log(rng, any_pair),
+            stim_cycle: any_u64(rng),
+            last_time: any_u64(rng),
+            settled: rng.gen_bool(0.5),
+            order: any_u64(rng),
+            lseq: any_u64(rng),
+            mseq: any_u64(rng),
+            stats: any_stats(rng),
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// `json_len` is the exact length of the emitted text, and values above
+    /// `i64::MAX` in every field survive the round trip (they travel as
+    /// decimal strings, never as a wrapped negative integer).
+    #[test]
+    fn full_domain_images_round_trip_and_json_len_is_exact(ck in AnyCheckpoint) {
+        let tree = ck.to_json();
+        let text = tree.emit().expect("emit");
+        prop_assert_eq!(ck.json_len(), text.len() as u64);
+        prop_assert_eq!(&Checkpoint::from_json(&tree).expect("tree decodes"), &ck);
+        let parsed = Json::parse(&text).expect("parse");
+        prop_assert_eq!(&Checkpoint::from_json(&parsed).expect("text decodes"), &ck);
+    }
+
+    #[test]
+    fn full_domain_deltas_round_trip_and_json_len_is_exact(d in AnyDelta) {
+        let tree = d.to_json();
+        let text = tree.emit().expect("emit");
+        prop_assert_eq!(d.json_len(), text.len() as u64);
+        prop_assert_eq!(&CheckpointDelta::from_json(&tree).expect("tree decodes"), &d);
+        let parsed = Json::parse(&text).expect("parse");
+        prop_assert_eq!(&CheckpointDelta::from_json(&parsed).expect("text decodes"), &d);
     }
 }
 
